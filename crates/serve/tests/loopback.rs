@@ -1,6 +1,6 @@
 //! Loopback TCP smoke: the full serving path over real sockets —
 //! query, cached re-read, subscribe/poll-deltas, in-order shedding,
-//! the admin port, and clean shutdown.
+//! a hostile deeply nested frame, the admin port, and clean shutdown.
 
 use gridrm_global::transport::FrameService;
 use gridrm_global::{GlobalRequest, GlobalResponse, WireFrame};
@@ -10,7 +10,9 @@ use gridrm_serve::world::{client_identity, query_frame, ServeWorld};
 use gridrm_serve::{read_frame, write_frame};
 use parking_lot::Mutex;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn rpc(stream: &mut TcpStream, frame: &[u8]) -> GlobalResponse {
     write_frame(stream, frame).expect("write frame");
@@ -53,6 +55,45 @@ fn query_and_cached_read_over_tcp() {
             assert_eq!(rows.rows.len(), 2);
         }
         other => panic!("expected cached rows, got {other:?}"),
+    }
+    server.stop();
+}
+
+/// One frame of 50,000 `[` bytes used to overflow a worker's stack and
+/// abort the whole process. The depth-bounded reader answers it with an
+/// error, and the server keeps serving new connections.
+#[test]
+fn deeply_nested_frame_is_refused_and_the_server_survives() {
+    let world = ServeWorld::build(2);
+    let server =
+        TcpServer::start("127.0.0.1:0", world.service(), SchedulerConfig::default()).unwrap();
+
+    let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
+    match rpc(&mut hostile, &[b'['; 50_000]) {
+        GlobalResponse::Error { message } => {
+            assert!(message.contains("bad global-layer message"), "{message}")
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // The same depth hidden in an unknown field of a real request.
+    let mut nested = br#"{"Query":{"unknown":"#.to_vec();
+    nested.resize(nested.len() + 50_000, b'[');
+    match rpc(&mut hostile, &nested) {
+        GlobalResponse::Error { message } => {
+            assert!(message.contains("nesting deeper than"), "{message}")
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    drop(hostile);
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let sources = vec![world.source_url(0)];
+    match rpc(
+        &mut stream,
+        &query_frame(&sources, "SELECT Hostname FROM Processor", None),
+    ) {
+        GlobalResponse::Rows { rows, .. } => assert_eq!(rows.rows.len(), 1),
+        other => panic!("expected rows, got {other:?}"),
     }
     server.stop();
 }
@@ -107,9 +148,12 @@ fn subscribe_and_poll_deltas_over_tcp() {
 fn pipelined_burst_sheds_in_order() {
     let gate = Arc::new(Mutex::new(()));
     let held = gate.lock();
+    let entered = Arc::new(AtomicUsize::new(0));
     let service: Arc<dyn FrameService> = {
         let gate = gate.clone();
+        let entered = entered.clone();
         Arc::new(move |_from: &str, _req: &[u8]| {
+            entered.fetch_add(1, Ordering::SeqCst);
             drop(gate.lock());
             WireFrame::encode(&GlobalResponse::Pong {
                 gateway: "gated".to_owned(),
@@ -130,13 +174,30 @@ fn pipelined_burst_sheds_in_order() {
     .unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
 
-    // The worker can pop at most one job before blocking on the gate,
-    // so a 5-deep burst queues 3-4 executables and sheds the rest —
-    // never enough markers to close the source.
+    // The waits pin one interleaving: the worker pops the first ping and
+    // blocks on the gate before the rest arrive, and the gate opens only
+    // after all five are submitted. Pings 2-4 then fill the 3-deep
+    // source queue and ping 5 is shed — one marker, far from enough to
+    // close the source.
     let ping = WireFrame::encode(&GlobalRequest::Ping).into_bytes();
-    for _ in 0..5 {
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    };
+    write_frame(&mut stream, &ping).unwrap();
+    wait_for("the worker to block", &|| {
+        entered.load(Ordering::SeqCst) == 1
+    });
+    for _ in 1..5 {
         write_frame(&mut stream, &ping).unwrap();
     }
+    wait_for("the burst to be submitted", &|| {
+        let (accepted, shed, _, _) = server.stats().snapshot();
+        accepted + shed == 5
+    });
     drop(held);
 
     let mut kinds = Vec::new();
@@ -149,23 +210,18 @@ fn pipelined_burst_sheds_in_order() {
                 retry_after_ms,
             } => {
                 assert_eq!(retry_after_ms, 40);
-                assert!(queue_depth >= 3, "queue_depth = {queue_depth}");
+                assert_eq!(queue_depth, 3);
                 kinds.push("shed");
             }
             other => panic!("unexpected response {other:?}"),
         }
     }
-    let pongs = kinds.iter().filter(|k| **k == "pong").count();
-    assert!((3..=4).contains(&pongs), "{kinds:?}");
-    // Responses stay in request order: accepted work first, then the
-    // shed tail.
-    assert_eq!(kinds.last().copied(), Some("shed"), "{kinds:?}");
-    assert!(kinds[..pongs].iter().all(|k| *k == "pong"), "{kinds:?}");
+    // Responses stay in request order: the accepted work first, then
+    // the shed tail.
+    assert_eq!(kinds, ["pong", "pong", "pong", "pong", "shed"]);
 
     let (accepted, shed, _executed, closed) = server.stats().snapshot();
-    assert_eq!(accepted, pongs as u64);
-    assert_eq!(shed, (5 - pongs) as u64);
-    assert_eq!(closed, 0);
+    assert_eq!((accepted, shed, closed), (4, 1, 0));
     server.stop();
 }
 

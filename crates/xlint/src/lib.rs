@@ -88,10 +88,6 @@ pub struct Config {
     /// the `determinism` rule. Wall-clock crates (serve, bench,
     /// resmodel) are simply not listed.
     pub deterministic_dirs: Vec<String>,
-    /// The one file allowed to touch the raw codec helpers
-    /// (`protocol.rs` itself) — everything else goes through
-    /// `WireFrame::encode`/`decode` (`deprecated-codec`).
-    pub codec_home: String,
     /// Scheduling-boundary method names for the `lock-order` pass
     /// (holding a guard across these is flagged even without a cycle).
     pub boundary_methods: BTreeSet<String>,
@@ -184,7 +180,6 @@ impl Config {
             .into_iter()
             .map(str::to_owned)
             .collect(),
-            codec_home: "crates/global/src/protocol.rs".to_owned(),
             boundary_methods: ["pump"].into_iter().map(str::to_owned).collect(),
             wire_roots: vec!["GlobalRequest".to_owned(), "GlobalResponse".to_owned()],
         })
@@ -548,7 +543,6 @@ pub fn check_file(sf: &SourceFile, config: &Config) -> Vec<Finding> {
     raw.extend(rules::locks::check(sf, config));
     raw.extend(rules::drivers::check(sf, config));
     raw.extend(rules::determinism::check(sf, config));
-    raw.extend(rules::codec::check(sf, config));
     let mut out: Vec<Finding> = raw.into_iter().filter(|f| !sf.waived(f)).collect();
     out.sort();
     out

@@ -52,7 +52,6 @@ fn test_config() -> Config {
             "crates/telemetry/src/".to_owned(),
             "crates/drivers/src/".to_owned(),
         ],
-        codec_home: "crates/global/src/protocol.rs".to_owned(),
         boundary_methods: ["pump"].into_iter().map(str::to_owned).collect(),
         wire_roots: vec!["GlobalRequest".to_owned(), "GlobalResponse".to_owned()],
     }
@@ -205,26 +204,6 @@ fn determinism_ignores_wall_clock_crates() {
         "crates/serve/src/determinism_fixture.rs",
     );
     assert_eq!(count(&f, "determinism"), 0, "{f:#?}");
-}
-
-#[test]
-fn deprecated_codec_fires_on_raw_codec_calls() {
-    let f = scan("bad/codec.rs", "crates/core/src/codec_fixture.rs");
-    // protocol::encode + encode_framed + decode_framed::<..> +
-    // protocol::decode::<..>.
-    assert_eq!(count(&f, "deprecated-codec"), 4, "{f:#?}");
-}
-
-#[test]
-fn deprecated_codec_passes_wireframe_imports_and_definitions() {
-    let f = scan("ok/codec.rs", "crates/core/src/codec_fixture.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn deprecated_codec_exempts_the_codec_home() {
-    let f = scan("bad/codec.rs", "crates/global/src/protocol.rs");
-    assert_eq!(count(&f, "deprecated-codec"), 0, "{f:#?}");
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! scenario, replayed from scratch, must drive **byte-identical** wire
 //! traffic through the transport — request bytes, response bytes, and
 //! error strings — and attaching via an explicit simnet transport must
-//! behave exactly like the classic `GlobalLayer::attach`.
+//! behave exactly like the classic `GlobalLayer::attach`. The transcript
+//! is also pinned byte for byte to a committed golden file, so a codec
+//! change that alters any wire byte fails here.
 
 use gridrm::global::{GlobalLayer, GmaDirectory, RecordingTransport, Transport};
 use gridrm::prelude::*;
@@ -110,4 +112,28 @@ fn attach_and_attach_via_simnet_agree() {
         classic, via,
         "attach() and attach_via(simnet) behave differently"
     );
+}
+
+/// The golden transcript: every request and response frame of the
+/// scenario, as the JSON codec wrote them before the direct writer and
+/// reader replaced the `Value` tree on the wire.
+const GOLDEN_TRANSCRIPT: &str = include_str!("fixtures/transport_transcript.golden");
+
+#[test]
+fn wire_transcript_matches_the_golden_fixture() {
+    let (_, wire) = run_scenario(true);
+    if wire != GOLDEN_TRANSCRIPT {
+        let line = wire
+            .lines()
+            .zip(GOLDEN_TRANSCRIPT.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| wire.lines().count().min(GOLDEN_TRANSCRIPT.lines().count()));
+        panic!(
+            "wire transcript differs from tests/fixtures/transport_transcript.golden \
+             (first differing line {}):\n  got:    {:?}\n  golden: {:?}",
+            line + 1,
+            wire.lines().nth(line),
+            GOLDEN_TRANSCRIPT.lines().nth(line),
+        );
+    }
 }
